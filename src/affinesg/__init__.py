@@ -3,7 +3,7 @@
 Given a multiplier a, an offset b and a seed c (with gcd(b, c) = 1), this
 package computes the smallest numerical semigroup containing c whose
 nonzero elements are closed under the map: minimal generators, embedding
-dimension, Apery set, Frobenius number, genus, gaps, and constant-time
+dimension, Apery set, Frobenius number, genus, gaps, and O(log_a c)
 membership.  A brute-force fixpoint oracle cross-checks every closed form.
 """
 

@@ -25,7 +25,10 @@ from .semigroup import (
     DEFAULT_GAPS_CAP,
     GapsCapError,
     SemigroupProfile,
+    apery_element,
+    class_index,
     gaps,
+    least_by_residue,
     members_below,
     profile,
 )
@@ -80,7 +83,6 @@ class Report:
             apery=tuple(doc["apery_set"]),
             frobenius=doc["frobenius"],
             genus=doc["genus"],
-            conductor=doc["conductor"],
         )
         mb = doc.get("members_below")
         meta = doc.get("meta", {})
@@ -156,9 +158,7 @@ def render_table(prof: SemigroupProfile, limit: int, color: bool) -> str:
     """
     c = prof.params.c
     ncols = -(-limit // c)
-    least = [0] * c
-    for x in prof.apery:
-        least[x % c] = x
+    least = least_by_residue(prof.apery)
     gens = set(prof.minimal_generators)
     cells: list[list[tuple[str, bool]]] = []
     for r in range(c):
@@ -206,6 +206,9 @@ def _read_csv_triples(path: str) -> tuple[list[tuple[int, int, int]], list[str]]
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    if args.input and args.check:
+        print("error: --check needs --a/--b/--c; use verify --input", file=sys.stderr)
+        return 2
     if args.input:
         return _info_batch(args)
     if args.a is None or args.b is None or args.c is None:
@@ -228,7 +231,11 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _info_batch(args: argparse.Namespace) -> int:
-    triples, errors = _read_csv_triples(args.input)
+    try:
+        triples, errors = _read_csv_triples(args.input)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = []
     for a, b, c in triples:
         try:
@@ -254,14 +261,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_member(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    prof = profile(p)
-    binv = pow(p.b, -1, p.c)
     verdicts = []
     for n in args.n:
         if n < 0:
             raise ValueError(f"membership queries need n >= 0 (got {n})")
-        l = (n * binv) % p.c
-        least = prof.apery[l]
+        l = class_index(p, n)
+        least = apery_element(p, l)
         verdicts.append({"n": n, "member": n >= least, "class": l, "least": least})
     if args.format == "json":
         print(json.dumps(verdicts, indent=2))
@@ -304,6 +309,13 @@ def cmd_preset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _limit(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative (got {value})")
+    return value
+
+
 def _parse_span(text: str) -> tuple[int, int]:
     """'7' -> (7, 7); '2..40' -> (2, 40)."""
     lo, sep, hi = text.partition("..")
@@ -322,7 +334,11 @@ def _parse_span(text: str) -> tuple[int, int]:
 def cmd_verify(args: argparse.Namespace) -> int:
     csv_errors: list[str] = []
     if args.input:
-        triples, csv_errors = _read_csv_triples(args.input)
+        try:
+            triples, csv_errors = _read_csv_triples(args.input)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for msg in csv_errors:
             print(f"skipped: {msg}", file=sys.stderr)
     else:
@@ -412,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_options(sub, required=False)
     _add_format_option(sub)
     _add_bit_limit_option(sub)
-    sub.add_argument("--limit", type=int, help="also list members below LIMIT")
+    sub.add_argument("--limit", type=_limit, help="also list members below LIMIT")
     sub.add_argument("--check", action="store_true",
                      help="cross-check against the brute-force oracle first")
     sub.add_argument("--input", metavar="CSV", help="batch of a,b,c rows")
@@ -421,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table", help="member grid in the row-per-class layout")
     _add_params_options(sub)
     _add_bit_limit_option(sub)
-    sub.add_argument("--limit", type=int,
+    sub.add_argument("--limit", type=_limit,
                      help="show members below LIMIT (default conductor + c)")
     sub.set_defaults(func=cmd_table)
 
@@ -446,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True, help="family index")
     _add_format_option(sub)
     _add_bit_limit_option(sub)
-    sub.add_argument("--limit", type=int, help="also list members below LIMIT")
+    sub.add_argument("--limit", type=_limit, help="also list members below LIMIT")
     sub.set_defaults(func=cmd_preset)
 
     sub = subs.add_parser("verify", help="closed forms vs oracle over ranges")

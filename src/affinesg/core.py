@@ -97,7 +97,8 @@ class Params:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidParamsError(f"{name} must be an integer")
         if self.c < 2:
             raise InvalidParamsError(f"c must be at least 2 (got {self.c})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Params, geometric_sum, orbit_term
-from .semigroup import profile
+from .semigroup import least_by_residue, profile
 
 __all__ = [
     "BoundTooSmallError",
@@ -213,9 +213,7 @@ def check_agreement(p: Params, bound_hint: int | None = None) -> list[str]:
             f"oracle {ogens}"
         )
 
-    least = [0] * p.c
-    for x in prof.apery:
-        least[x % p.c] = x
+    least = least_by_residue(prof.apery)
     mask = o.member_mask
     for n in range(o.bound):
         if (n >= least[n % p.c]) != bool((mask >> n) & 1):

@@ -1,22 +1,25 @@
 """Closed-form invariants of the smallest affine-closed semigroup with a given seed.
 
-Every quantity is computed from at most c greedy decompositions, never by
-materializing the semigroup: the point of the closed forms is that a sieve
-is unnecessary.  The brute-force counterpart lives in `affinesg.oracle` and
-exists only to cross-check these formulas.
+All of them come from one digit recurrence.  The least member of class l
+(the class of b*l mod c) weights the orbit terms t_k by the greedy digits
+of l over the geometric sums s_k (`core.decompose`; skew binary for a = 2).
+Grouped by top digit, with 1 <= q < a and r < s_k:
+
+    ap[q*s_k + r] = q*t_k + ap[r],    ap[a*s_k] = a*t_k.
+
+`apery_set` builds the c classes by these block copies, so the values rise
+with l.  The Frobenius number (top class minus c) and the genus (Selmer's
+sum(ap)/c - (c-1)/2, summed over the digits of c with the block prefix sums
+G(k+1) = a*G(k) + a(a-1)/2 * s_k*t_k + a*t_k) take O(log c) arithmetic.
+`affinesg.oracle` cross-checks them all by brute force.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import (
-    Params,
-    checked,
-    decompose,
-    geometric_sum,
-    orbit_term,
-)
+from .core import Params, checked, decompose, geometric_sum, orbit_term
 
 __all__ = [
     "GapsCapError",
@@ -24,12 +27,14 @@ __all__ = [
     "DEFAULT_GAPS_CAP",
     "apery_element",
     "apery_set",
+    "class_index",
     "contains",
     "embedding_dimension",
     "frobenius",
     "gaps",
     "genus",
     "k_tilde",
+    "least_by_residue",
     "members_below",
     "minimal_generators",
     "profile",
@@ -57,11 +62,14 @@ class SemigroupProfile:
     apery: tuple[int, ...]
     frobenius: int
     genus: int
-    conductor: int
 
     @property
     def embedding_dimension(self) -> int:
         return self.k_tilde
+
+    @property
+    def conductor(self) -> int:
+        return self.frobenius + 1
 
 
 def k_tilde(p: Params) -> int:
@@ -97,72 +105,63 @@ def apery_element(p: Params, l: int) -> int:
 def apery_set(p: Params) -> list[int]:
     """All c least-in-class members, indexed by class: [x_0, ..., x_{c-1}].
 
-    Same values as calling `apery_element` per class, with the greedy
-    decomposition tables shared across classes.
+    Same values as `apery_element` per class, built by block copies.  The
+    values increase with the class, so one width check on the last covers all.
     """
-    a, b, c = p.a, p.b, p.c
-    sums = [0, 1]
-    while sums[-1] <= c - 1:
-        sums.append(checked(sums[-1] * a + 1))
-    top = len(sums) - 2  # largest index the greedy loop can use
-    terms = [orbit_term(p, k) for k in range(top + 1)]
-    out = [0] * c
-    for l in range(1, c):
-        rem = l
-        k = top
-        x = 0
-        while rem:
-            while sums[k] > rem:
-                k -= 1
-            q = rem // sums[k]
-            x += q * terms[k]
-            rem -= q * sums[k]
-        out[l] = checked(x)
-    return out
+    ap = [0]
+    k = 1
+    while len(ap) < p.c:
+        s, t = len(ap), orbit_term(p, k)  # len(ap) == s_k here
+        for q in range(1, p.a):
+            ap.extend([q * t + x for x in ap[: min(s, p.c - len(ap))]])
+        ap.append(p.a * t)
+        k += 1
+    del ap[p.c:]
+    checked(ap[-1])
+    return ap
 
 
 def frobenius(p: Params) -> int:
     """Largest integer outside the semigroup: the top Apery element minus c."""
-    ap = apery_set(p)
-    top = ap[p.c - 1]
-    assert top == max(ap), "the last Apery class must hold the maximum"
-    return top - p.c
+    return apery_element(p, p.c - 1) - p.c
 
 
 def genus(p: Params) -> int:
     """Number of positive integers outside the semigroup.
 
-    Computed from the Apery set as (sum of classes)/c - (c-1)/2, evaluated
-    exactly over the integers.  The numerator is provably divisible; a
-    failure here would mean an internal bug, hence the assertion.
+    Selmer's sum(ap)/c - (c-1)/2, exact over the integers.  The sum over
+    classes [0, c) runs over the digits q_k of c, lowest first: digit k adds
+    q_k whole blocks of s_k classes and lifts each of the ``below`` classes
+    of the lower digits, summed so far in ``total``, by q_k*t_k.
     """
-    ap = apery_set(p)
-    total = 0
-    for x in ap:
-        total += x
+    a = p.a
+    total = below = g = 0  # g is the block prefix sum G(k), from G(1) = 0
+    for k, q in enumerate(decompose(a, p.c).coeffs[1:], start=1):
+        s, t = geometric_sum(a, k), orbit_term(p, k)
+        total += q * g + q * (q - 1) // 2 * s * t + q * t * below
+        below += q * s
+        g = a * g + a * (a - 1) // 2 * s * t + a * t
     checked(total)
-    num = checked(2 * total) - p.c * (p.c - 1)
-    assert num % (2 * p.c) == 0, "genus formula must yield an integer"
-    return num // (2 * p.c)
+    return (checked(2 * total) - p.c * (p.c - 1)) // (2 * p.c)
+
+
+def class_index(p: Params, n: int) -> int:
+    """The class l with b*l = n mod c; b is invertible since gcd(b, c) = 1."""
+    return (n * pow(p.b, -1, p.c)) % p.c
 
 
 def contains(p: Params, n: int) -> bool:
-    """Membership in constant arithmetic: n is in iff n >= its class minimum.
-
-    The class of n is recovered through the inverse of b modulo c, which
-    exists because gcd(b, c) = 1.
-    """
+    """Membership in O(log_a c) arithmetic: n is in iff n >= its class minimum."""
     if n < 0:
         raise ValueError("membership is defined on non-negative integers")
-    l = (n * pow(p.b, -1, p.c)) % p.c
-    return n >= apery_element(p, l)
+    return n >= apery_element(p, class_index(p, n))
 
 
 def gaps(p: Params, max_frobenius: int = DEFAULT_GAPS_CAP) -> list[int]:
     """All positive integers outside the semigroup, in increasing order.
 
     Refuses when the Frobenius number exceeds ``max_frobenius``: the output
-    is O(F) long, while every other invariant stays O(c).
+    is O(F) long, while the Apery set is O(c) and the scalars O(log c).
     """
     f = frobenius(p)
     if f > max_frobenius:
@@ -170,7 +169,7 @@ def gaps(p: Params, max_frobenius: int = DEFAULT_GAPS_CAP) -> list[int]:
             f"frobenius number {f} exceeds the gap enumeration cap "
             f"{max_frobenius}; raise the cap to materialize the gaps"
         )
-    least = _least_by_residue(p)
+    least = least_by_residue(apery_set(p))
     return [n for n in range(1, f + 1) if n < least[n % p.c]]
 
 
@@ -178,41 +177,26 @@ def members_below(p: Params, limit: int) -> list[int]:
     """All members in [0, limit)."""
     if limit < 1:
         return []
-    least = _least_by_residue(p)
+    least = least_by_residue(apery_set(p))
     return [n for n in range(limit) if n >= least[n % p.c]]
 
 
-def _least_by_residue(p: Params) -> list[int]:
-    least = [0] * p.c
-    for x in apery_set(p):
-        least[x % p.c] = x
+def least_by_residue(apery: Sequence[int]) -> list[int]:
+    """Re-index an Apery list by residue: entry r is the least member congruent to r."""
+    c = len(apery)
+    least = [0] * c
+    for x in apery:
+        least[x % c] = x
     return least
 
 
 def profile(p: Params) -> SemigroupProfile:
-    """Compute every invariant once and validate their mutual consistency."""
-    kt = k_tilde(p)
-    gens = minimal_generators(p)
-    ap = apery_set(p)
-    assert len(gens) == kt
-    assert ap[0] == 0
-    assert len({x % p.c for x in ap}) == p.c, "Apery classes must cover all residues"
-    top = ap[p.c - 1]
-    assert top == max(ap) and top > 0
-    f = top - p.c
-    total = 0
-    for x in ap:
-        total += x
-    checked(total)
-    num = checked(2 * total) - p.c * (p.c - 1)
-    assert num % (2 * p.c) == 0, "genus formula must yield an integer"
-    g = num // (2 * p.c)
+    """Every invariant of one semigroup, each from its own function."""
     return SemigroupProfile(
         params=p,
-        k_tilde=kt,
-        minimal_generators=tuple(gens),
-        apery=tuple(ap),
-        frobenius=f,
-        genus=g,
-        conductor=f + 1,
+        k_tilde=k_tilde(p),
+        minimal_generators=tuple(minimal_generators(p)),
+        apery=tuple(apery_set(p)),
+        frobenius=frobenius(p),
+        genus=genus(p),
     )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from affinesg import Params, profile
+from affinesg import Params, apery_set, profile
 from affinesg.cli import (
     MODE_VERIFIED,
     Report,
@@ -150,6 +150,51 @@ def test_generous_bit_limit_still_succeeds(capsys):
     )
     assert code == 0
     assert json.loads(out)["frobenius"] == profile(Params(10, 1, 100)).frobenius
+
+
+# a ∈ {1, 2, 3, 10}, b ∈ {1, 2, 7}, c < 60, gcd(b, c) = 1
+BIT_LIMIT_TRIPLES = [
+    (1, 1, 2), (1, 2, 9), (1, 7, 59), (2, 1, 31), (2, 2, 15), (2, 7, 12),
+    (3, 1, 40), (3, 2, 3), (3, 7, 44), (10, 1, 58), (10, 2, 27), (10, 7, 5),
+]
+
+
+@pytest.mark.parametrize("a,b,c", BIT_LIMIT_TRIPLES)
+def test_info_bit_limit_trips_exactly_at_twice_the_apery_sum(capsys, a, b, c):
+    # the widest checked value of a profile is 2 * sum(apery), the genus numerator
+    edge = (2 * sum(apery_set(Params(a, b, c)))).bit_length()
+    argv = ["info", "--a", str(a), "--b", str(b), "--c", str(c)]
+    for bits in range(max(2, edge - 3), edge + 4):
+        code, out, err = run(capsys, *argv, "--bit-limit", str(bits))
+        assert code == (3 if edge >= bits else 0), bits
+        assert (out == "") == (code == 3)
+
+
+def test_member_bit_limit_covers_only_the_queried_classes(capsys):
+    argv = ["--a", "10", "--b", "1", "--c", "100", "--bit-limit", "16"]
+    assert run(capsys, "info", *argv)[0] == 3
+    code, out, _ = run(capsys, "member", *argv, "--n", "1001")
+    assert code == 0
+    assert out.strip() == "1001 in class=1 least=1001"
+    code, out, err = run(capsys, "member", *argv, "--n", "99")  # least = 9 * 10011
+    assert code == 3
+    assert out == ""
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "--a", "3", "--b", "1", "--c", "3"),
+        ("table", "--a", "3", "--b", "1", "--c", "3"),
+        ("preset", "thabit", "--n", "2"),
+    ],
+)
+def test_negative_limit_is_refused_at_parse_time(capsys, argv):
+    code, out, err = run(capsys, *argv, "--limit", "-4")
+    assert code == 2
+    assert out == ""
+    assert "--limit" in err
 
 
 def test_non_integer_flag_exits_two(capsys):
@@ -413,6 +458,24 @@ def test_verify_csv_missing_header_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 2
     assert "header" in err
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_missing_input_file_exits_two(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, "--input", str(tmp_path / "missing.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "missing.csv" in err
+
+
+def test_info_batch_refuses_check(capsys, tmp_path):
+    path = tmp_path / "triples.csv"
+    path.write_text("a,b,c\n3,1,3\n")
+    code, out, err = run(capsys, "info", "--input", str(path), "--check")
+    assert code == 2
+    assert out == ""
+    assert "verify --input" in err
 
 
 def test_info_csv_batch(tmp_path, capsys):

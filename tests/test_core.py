@@ -114,6 +114,13 @@ def test_params_messages_are_distinct():
     assert len(msgs) == 4
 
 
+def test_params_rejects_bool():
+    # bool is a subclass of int, so it needs its own refusal
+    for a, b, c in ((True, True, 2), (True, 1, 3), (2, True, 3)):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            Params(a, b, c)
+
+
 def test_params_accepts_boundary_values():
     Params(1, 1, 2)
     Params(4, 9, 40)

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from affinesg import (
     GapsCapError,
+    OverflowLimitError,
     Params,
     affine_image,
     apery_element,
     apery_set,
+    bit_limit,
     contains,
     embedding_dimension,
     frobenius,
@@ -38,6 +41,20 @@ def small_sweep():
             for c in range(2, 13):
                 if math.gcd(b, c) == 1:
                     yield Params(a, b, c)
+
+
+def sampled_grid():
+    """a in {1, 2, 3, 10} over a fixed sample of seeds up to 5000, b coprime."""
+    rng = random.Random(0)
+    for a in (1, 2, 3, 10):
+        for c in sorted(rng.sample(range(13, 5000), 6)) + [5000]:
+            b = rng.choice([b for b in range(1, 100) if math.gcd(b, c) == 1])
+            yield Params(a, b, c)
+
+
+def identity_grid():
+    yield from small_sweep()
+    yield from sampled_grid()
 
 
 def test_k_tilde_known_values():
@@ -255,3 +272,81 @@ def test_members_below_prefix_of_contains():
         assert members_below(p, limit) == [
             n for n in range(limit) if contains(p, n)
         ]
+
+
+# --- identities the closed forms rest on, over small and sampled seeds ---
+
+
+def test_apery_set_matches_sampled_per_class_elements():
+    rng = random.Random(1)
+    for p in sampled_grid():
+        ap = apery_set(p)
+        assert len(ap) == p.c
+        for l in rng.sample(range(p.c), min(p.c, 100)) + [p.c - 1]:
+            assert ap[l] == apery_element(p, l), (p, l)
+
+
+def test_apery_set_starts_at_zero_and_covers_every_residue():
+    for p in identity_grid():
+        ap = apery_set(p)
+        assert ap[0] == 0, p
+        assert len({x % p.c for x in ap}) == p.c, p
+
+
+def test_apery_set_increases_with_the_class():
+    for p in identity_grid():
+        ap = apery_set(p)
+        assert all(x < y for x, y in zip(ap, ap[1:])), p
+
+
+def test_apery_set_width_check_trips_at_the_top_class():
+    for p in (EX2, Params(10, 1, 100), Params(1, 7, 59)):
+        edge = apery_set(p)[-1].bit_length()
+        with bit_limit(edge + 1):
+            apery_set(p)
+        with pytest.raises(OverflowLimitError), bit_limit(edge):
+            apery_set(p)
+
+
+def test_frobenius_is_the_top_apery_element_minus_the_seed():
+    for p in identity_grid():
+        assert frobenius(p) == max(apery_set(p)) - p.c, p
+
+
+def test_genus_is_selmers_formula_over_the_apery_set():
+    for p in identity_grid():
+        ap = apery_set(p)
+        num = 2 * sum(ap) - p.c * (p.c - 1)
+        assert num % (2 * p.c) == 0, p
+        assert genus(p) == num // (2 * p.c), p
+        assert genus(p) == sum(x // p.c for x in ap), p
+
+
+def test_generator_count_is_k_tilde():
+    for p in identity_grid():
+        assert len(minimal_generators(p)) == k_tilde(p), p
+
+
+def mersenne_frobenius(n):
+    return 2 ** (2 * n) - 2**n - 1
+
+
+def mersenne_genus(n):
+    return 2 ** (n - 1) * (2**n + n - 3)
+
+
+def test_mersenne_seeds_match_selmer_and_the_family_closed_forms():
+    # c = 2^n - 1 with x -> 2x + 1 generates {2^(n+i) - 1}: the Mersenne
+    # numerical semigroups of Rosales, Branco and Torrao (2017)
+    for n in range(2, 14):
+        p = Params(2, 1, 2**n - 1)
+        ap = apery_set(p)
+        assert genus(p) == (2 * sum(ap) - p.c * (p.c - 1)) // (2 * p.c), n
+        assert genus(p) == mersenne_genus(n), n
+        assert frobenius(p) == max(ap) - p.c == mersenne_frobenius(n), n
+
+
+def test_huge_seed_scalars_need_no_apery_set():
+    p = Params(2, 1, 2**200 - 1)
+    assert frobenius(p) == mersenne_frobenius(200)
+    assert genus(p) == mersenne_genus(200)
