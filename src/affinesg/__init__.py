@@ -43,7 +43,6 @@ from .semigroup import (
     apery_element,
     apery_set,
     contains,
-    embedding_dimension,
     frobenius,
     gaps,
     genus,
@@ -84,7 +83,6 @@ __all__ = [
     "apery_element",
     "apery_set",
     "contains",
-    "embedding_dimension",
     "frobenius",
     "gaps",
     "genus",

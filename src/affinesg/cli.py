@@ -316,6 +316,13 @@ def _limit(text: str) -> int:
     return value
 
 
+def _table_limit(text: str) -> int:
+    value = _limit(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be positive (got {value})")
+    return value
+
+
 def _parse_span(text: str) -> tuple[int, int]:
     """'7' -> (7, 7); '2..40' -> (2, 40)."""
     lo, sep, hi = text.partition("..")
@@ -437,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table", help="member grid in the row-per-class layout")
     _add_params_options(sub)
     _add_bit_limit_option(sub)
-    sub.add_argument("--limit", type=_limit,
+    sub.add_argument("--limit", type=_table_limit,
                      help="show members below LIMIT (default conductor + c)")
     sub.set_defaults(func=cmd_table)
 

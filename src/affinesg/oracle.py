@@ -1,16 +1,19 @@
 """Brute-force construction of affine-closed semigroups, for cross-validation.
 
 Nothing in this module uses the closed forms under test.  Membership is
-grown from {0, c} by a fixpoint over the two closure rules (pairwise sums
-and affine images) on a bitmask, and the resulting set certifies its own
-completeness: the top c consecutive integers below the bound must all be
-members, which pins the conductor strictly inside the materialized window.
+grown from {0, c} on one bitmask, bit n set iff n is a member.  Each pass
+takes the least pending non-member g, closes the mask under +g by doubling
+shifts (g, 2g, 4g, ...) and queues the affine images of all nonzero members
+at once: their binary digits spaced with a - 1 zeros, shifted left by b.
+A pass adds one minimal generator; the fixpoint is reached when nothing is
+pending.  The set then certifies its own completeness: the top c
+consecutive integers below the bound must all be members, which pins the
+conductor strictly inside the materialized window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .core import Params, geometric_sum, orbit_term
 from .semigroup import least_by_residue, profile
@@ -38,16 +41,19 @@ class BoundTooSmallError(ValueError):
 class OracleSemigroup:
     """All members below ``bound``, produced by fixpoint closure.
 
-    ``conductor_found`` is the least m with [m, bound) fully inside the
-    member set.  ``member_mask`` carries the same information as ``members``
-    as a bitmask (bit n set iff n is a member) for O(1) lookups.
+    ``member_mask`` has bit n set iff n is a member; ``conductor_found`` is
+    the least m with [m, bound) fully inside the member set.
     """
 
     params: Params
     bound: int
-    members: tuple[int, ...]
     conductor_found: int
-    member_mask: int = field(repr=False, compare=False)
+    member_mask: int = field(repr=False)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The members below the bound, in increasing order."""
+        return tuple(_ones(_bits(self.member_mask, self.bound)))
 
     def is_member(self, n: int) -> bool:
         if not 0 <= n < self.bound:
@@ -55,11 +61,13 @@ class OracleSemigroup:
         return bool((self.member_mask >> n) & 1)
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _bits(mask: int, width: int) -> str:
+    """The low ``width`` binary digits of ``mask``, lowest first: character n is bit n."""
+    return f"{mask:0{width}b}"[: -width - 1 : -1]
+
+
+def _ones(bits: str) -> list[int]:
+    return [n for n, bit in enumerate(bits) if bit == "1"]
 
 
 def default_bound(p: Params) -> int:
@@ -90,17 +98,16 @@ def build_oracle(p: Params, bound_hint: int | None = None) -> OracleSemigroup:
             f"oracle bound {bound} exceeds the memory cap {MAX_ORACLE_BOUND}"
         )
     full = (1 << bound) - 1
-    mask = 1 | (1 << p.c)
-    while True:
-        prev = mask
-        for g in _iter_bits(prev & ~1):
-            mask |= (mask << g) & full
-        for x in _iter_bits(mask & ~1):
-            v = p.a * x + p.b
-            if v < bound:
-                mask |= 1 << v
-        if mask == prev:
-            break
+    below = (1 << max(0, -(-(bound - p.b) // p.a))) - 1  # x with a*x + b < bound
+    mask, pending = 1, 1 << p.c
+    while pending:
+        g = (pending & -pending).bit_length() - 1
+        step = g
+        while step < bound:
+            mask |= (mask << step) & full
+            step <<= 1
+        image = int(("0" * (p.a - 1)).join(f"{mask & below & ~1:b}"), 2) << p.b
+        pending = (pending | image) & ~mask
     top_window = ((1 << p.c) - 1) << (bound - p.c)
     if mask & top_window != top_window:
         raise BoundTooSmallError(
@@ -110,54 +117,47 @@ def build_oracle(p: Params, bound_hint: int | None = None) -> OracleSemigroup:
     non_members = full & ~mask
     conductor_found = non_members.bit_length()  # one past the largest non-member
     return OracleSemigroup(
-        params=p,
-        bound=bound,
-        members=tuple(_iter_bits(mask)),
-        conductor_found=conductor_found,
-        member_mask=mask,
+        params=p, bound=bound, conductor_found=conductor_found, member_mask=mask
     )
 
 
 def oracle_frobenius(o: OracleSemigroup) -> int:
     """Largest non-member below the bound; -1 if every integer is a member."""
-    non_members = ((1 << o.bound) - 1) & ~o.member_mask
-    return non_members.bit_length() - 1
+    return o.conductor_found - 1
 
 
 def oracle_apery(o: OracleSemigroup) -> list[int]:
     """Least member in each residue class mod c, indexed by class l (b*l mod c)."""
     c = o.params.c
-    by_residue: list[int | None] = [None] * c
-    found = 0
-    for m in o.members:
-        r = m % c
-        if by_residue[r] is None:
-            by_residue[r] = m
-            found += 1
-            if found == c:
-                break
-    assert all(v is not None for v in by_residue)
-    return [by_residue[(o.params.b * l) % c] for l in range(c)]
+    bits = _bits(o.member_mask, o.bound)
+    out = []
+    for l in range(c):
+        r = (o.params.b * l) % c
+        j = bits[r::c].find("1")
+        if j < 0:
+            raise BoundTooSmallError(
+                f"class {l} (residue {r} mod {c}) has no member below {o.bound}"
+            )
+        out.append(r + j * c)
+    return out
 
 
 def oracle_minimal_generators(o: OracleSemigroup) -> list[int]:
     """Nonzero members that are not a sum of two smaller nonzero members.
 
     Any member at or above conductor_found + c splits off a copy of c, so
-    the search is cut there.
+    the search is cut there.  Every nonzero member is x + j*c for the least
+    nonzero member x of its class, so shifting by c and by the nonzero Apery
+    elements reaches every sum of two nonzero members.
     """
     c = o.params.c
     limit = min(o.bound, o.conductor_found + c)
     window = (1 << limit) - 1
-    nonzero = o.member_mask & ~1
+    nonzero = o.member_mask & window & ~1
     sums = 0
-    for g in o.members:
-        if g == 0:
-            continue
-        if g + c >= limit:
-            break
-        sums |= (nonzero << g) & window
-    return [m for m in _iter_bits(nonzero & window & ~sums)]
+    for x in [c] + oracle_apery(o)[1:]:
+        sums |= (nonzero << x) & window
+    return _ones(_bits(nonzero & ~sums, limit))
 
 
 def representable(target: int, gens: list[int]) -> bool:
@@ -214,10 +214,10 @@ def check_agreement(p: Params, bound_hint: int | None = None) -> list[str]:
         )
 
     least = least_by_residue(prof.apery)
-    mask = o.member_mask
+    bits = _bits(o.member_mask, o.bound)
     for n in range(o.bound):
-        if (n >= least[n % p.c]) != bool((mask >> n) & 1):
+        if (n >= least[n % p.c]) != (bits[n] == "1"):
             msgs.append(f"membership at n={n}: closed-form says "
-                        f"{n >= least[n % p.c]}, oracle says {bool((mask >> n) & 1)}")
+                        f"{n >= least[n % p.c]}, oracle says {bits[n] == '1'}")
             break
     return msgs

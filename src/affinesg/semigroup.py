@@ -29,7 +29,6 @@ __all__ = [
     "apery_set",
     "class_index",
     "contains",
-    "embedding_dimension",
     "frobenius",
     "gaps",
     "genus",
@@ -86,11 +85,6 @@ def k_tilde(p: Params) -> int:
 def minimal_generators(p: Params) -> list[int]:
     """The first k_tilde orbit terms; strictly increasing, gcd 1."""
     return [orbit_term(p, k) for k in range(k_tilde(p))]
-
-
-def embedding_dimension(p: Params) -> int:
-    """Size of the unique minimal generating set; equals k_tilde."""
-    return k_tilde(p)
 
 
 def apery_element(p: Params, l: int) -> int:

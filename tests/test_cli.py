@@ -197,6 +197,14 @@ def test_negative_limit_is_refused_at_parse_time(capsys, argv):
     assert "--limit" in err
 
 
+def test_table_zero_limit_is_refused(capsys):
+    # a grid below 0 has no cell: refused rather than drawn as c blank rows
+    code, out, err = run(capsys, "table", "--a", "3", "--b", "1", "--c", "3", "--limit", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: argument --limit: must be positive (got 0)" in err
+
+
 def test_non_integer_flag_exits_two(capsys):
     code, _, _ = run(capsys, "info", "--a", "x", "--b", "1", "--c", "3")
     assert code == 2

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+import affinesg.oracle
 from affinesg import (
     BoundTooSmallError,
+    OracleSemigroup,
     Params,
     build_oracle,
     check_agreement,
@@ -19,7 +22,7 @@ from affinesg import (
     representable,
 )
 from affinesg.oracle import MAX_ORACLE_BOUND
-from affinesg.semigroup import k_tilde, minimal_generators
+from affinesg.semigroup import k_tilde, minimal_generators, profile
 from conftest import WORKED_TABLES, sieve_members
 
 EX1 = Params(3, 1, 3)
@@ -35,9 +38,13 @@ def test_members_match_worked_tables():
 
 
 def test_members_match_naive_sieve():
-    for p in (EX1, EX2, EX3, Params(1, 1, 3), Params(4, 3, 5)):
-        o = build_oracle(p)
-        assert list(o.members) == sieve_members(p.a, p.b, p.c, o.bound)
+    for a in range(1, 5):
+        for b in range(1, 4):
+            for c in range(2, 9):
+                if math.gcd(b, c) != 1:
+                    continue
+                o = build_oracle(Params(a, b, c))
+                assert list(o.members) == sieve_members(a, b, c, o.bound)
 
 
 def test_contains_seed_and_zero():
@@ -99,6 +106,13 @@ def test_oracle_apery_known_values():
     assert oracle_apery(build_oracle(EX1)) == [0, 10, 20]
     for p in (EX1, EX2, EX3):
         assert oracle_apery(build_oracle(p))[0] == 0
+
+
+def test_oracle_apery_refuses_a_class_without_members():
+    # members {0, 3, 6, 9}: residues 1 and 2 mod 3 are missing below the bound
+    o = OracleSemigroup(params=EX1, bound=10, conductor_found=10, member_mask=0b1001001001)
+    with pytest.raises(BoundTooSmallError, match=r"class 1 \(residue 1 mod 3\)"):
+        oracle_apery(o)
 
 
 def test_oracle_minimal_generators_known_values():
@@ -180,3 +194,43 @@ def test_agreement_on_a_small_sweep():
                 if math.gcd(b, c) != 1:
                     continue
                 assert check_agreement(Params(a, b, c)) == []
+
+
+def test_agreement_at_larger_seeds():
+    for p in (Params(1, 7, 101), Params(3, 2, 301), Params(4, 9, 200),
+              Params(10, 3, 211), Params(2, 1, 1000)):
+        assert check_agreement(p) == []
+
+
+def _plant(monkeypatch, **changes):
+    """Make check_agreement see a closed-form profile with ``changes`` applied."""
+    monkeypatch.setattr(
+        affinesg.oracle, "profile", lambda p: dataclasses.replace(profile(p), **changes)
+    )
+
+
+def test_agreement_reports_a_wrong_frobenius(monkeypatch):
+    _plant(monkeypatch, frobenius=profile(EX2).frobenius + 1)
+    assert check_agreement(EX2) == ["frobenius: closed-form 45, oracle 44"]
+
+
+def test_agreement_reports_a_wrong_genus(monkeypatch):
+    g = profile(EX2).genus
+    _plant(monkeypatch, genus=g + 1)
+    assert check_agreement(EX2) == [f"genus: closed-form {g + 1}, oracle sieve {g}"]
+
+
+def test_agreement_reports_a_wrong_apery_class(monkeypatch):
+    # class 1 of (3, 1, 5) is 16; raised by c it claims 16 is not a member
+    _plant(monkeypatch, apery=(0, 21, 32, 48, 49))
+    assert check_agreement(EX2) == [
+        "apery: closed-form [0, 21, 32, 48, 49], oracle [0, 16, 32, 48, 49]",
+        "membership at n=16: closed-form says False, oracle says True",
+    ]
+
+
+def test_agreement_reports_a_dropped_generator(monkeypatch):
+    _plant(monkeypatch, minimal_generators=(5, 16))
+    assert check_agreement(EX2) == [
+        "minimal generators: closed-form [5, 16], oracle [5, 16, 49]"
+    ]

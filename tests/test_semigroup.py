@@ -16,7 +16,6 @@ from affinesg import (
     apery_set,
     bit_limit,
     contains,
-    embedding_dimension,
     frobenius,
     gaps,
     genus,
@@ -84,15 +83,15 @@ def test_minimal_generators_increase_and_are_coprime():
 
 
 def test_embedding_dimension_known_values():
-    assert embedding_dimension(EX1) == 2
-    assert embedding_dimension(EX3) == 3
+    assert profile(EX1).embedding_dimension == 2
+    assert profile(EX3).embedding_dimension == 3
 
 
 def test_embedding_dimension_unit_multiplier_equals_seed():
     # with multiplier 1 the geometric sums count k, so the cutoff lands at c
     for c in range(2, 9):
         p = Params(1, 1, c)
-        assert embedding_dimension(p) == c
+        assert profile(p).embedding_dimension == c
         assert len(oracle_minimal_generators(build_oracle(p))) == c
 
 
