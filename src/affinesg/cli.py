@@ -20,14 +20,14 @@ from typing import Sequence
 
 from . import __version__
 from .core import InvalidParamsError, OverflowLimitError, Params, bit_limit
-from .oracle import BoundTooSmallError, check_agreement
+from .oracle import check_agreement
 from .semigroup import (
     DEFAULT_GAPS_CAP,
-    GapsCapError,
     SemigroupProfile,
     apery_element,
     class_index,
     gaps,
+    genus,
     least_by_residue,
     members_below,
     profile,
@@ -47,7 +47,6 @@ class Report:
     members_limit: int | None = None
     members: tuple[int, ...] | None = None
     mode: str = MODE_CLOSED_FORM
-    version: str = __version__
 
     def to_dict(self) -> dict:
         prof = self.profile
@@ -70,54 +69,25 @@ class Report:
                 "limit": self.members_limit,
                 "members": list(self.members),
             }
-        doc["meta"] = {"version": self.version, "mode": self.mode}
+        doc["meta"] = {"version": __version__, "mode": self.mode}
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Report":
-        params = Params(doc["a"], doc["b"], doc["c"])
-        prof = SemigroupProfile(
-            params=params,
-            k_tilde=doc["k_tilde"],
-            minimal_generators=tuple(doc["minimal_generators"]),
-            apery=tuple(doc["apery_set"]),
-            frobenius=doc["frobenius"],
-            genus=doc["genus"],
-        )
-        mb = doc.get("members_below")
-        meta = doc.get("meta", {})
-        return cls(
-            params=params,
-            profile=prof,
-            gaps=tuple(doc["gaps"]) if "gaps" in doc else None,
-            members_limit=mb["limit"] if mb else None,
-            members=tuple(mb["members"]) if mb else None,
-            mode=meta.get("mode", MODE_CLOSED_FORM),
-            version=meta.get("version", __version__),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
-
 
 def build_report(
     p: Params,
-    with_gaps: bool = False,
-    max_frobenius: int = DEFAULT_GAPS_CAP,
+    gaps: tuple[int, ...] | None = None,
     limit: int | None = None,
     mode: str = MODE_CLOSED_FORM,
 ) -> Report:
     prof = profile(p)
-    gap_list = tuple(gaps(p, max_frobenius)) if with_gaps else None
-    members = tuple(members_below(p, limit)) if limit is not None else None
+    members = tuple(members_below(prof, limit)) if limit is not None else None
     return Report(
         params=p,
         profile=prof,
-        gaps=gap_list,
+        gaps=gaps,
         members_limit=limit,
         members=members,
         mode=mode,
@@ -145,6 +115,10 @@ def _render_report_text(rep: Report) -> str:
     return "\n".join(lines)
 
 
+def _print_report(rep: Report, fmt: str) -> None:
+    print(rep.to_json() if fmt == "json" else _render_report_text(rep))
+
+
 def _use_color() -> bool:
     if "SEMIGROUP_NO_COLOR" in os.environ:
         return False
@@ -157,31 +131,22 @@ def render_table(prof: SemigroupProfile, limit: int, color: bool) -> str:
     when ``color`` is on; layout is computed from the plain text either way.
     """
     c = prof.params.c
-    ncols = -(-limit // c)
     least = least_by_residue(prof.apery)
     gens = set(prof.minimal_generators)
-    cells: list[list[tuple[str, bool]]] = []
-    for r in range(c):
-        row = []
-        for q in range(ncols):
-            v = q * c + r
-            if v < limit and v >= least[r]:
-                row.append((f"{v}*" if v in gens else str(v), v in gens))
-            else:
-                row.append(("", False))
-        cells.append(row)
-    widths = [max(len(cells[r][q][0]) for r in range(c)) for q in range(ncols)]
-    lines = []
-    for r in range(c):
-        rendered = []
-        for q in range(ncols):
-            text, is_gen = cells[r][q]
-            cell = text.rjust(widths[q])
-            if color and is_gen:
-                cell = f"\x1b[1m{cell}\x1b[0m"
-            rendered.append(cell)
-        lines.append("  ".join(rendered).rstrip())
-    return "\n".join(lines)
+    columns = []
+    for start in range(0, limit, c):
+        texts = [
+            (f"{v}*" if v in gens else str(v)) if least[v % c] <= v < limit else ""
+            for v in range(start, start + c)
+        ]
+        width = max(map(len, texts))
+        blank = " " * width  # shared by every empty cell, most of a wide grid
+        columns.append([
+            f"\x1b[1m{t.rjust(width)}\x1b[0m" if color and t.endswith("*")
+            else t.rjust(width) if t else blank
+            for t in texts
+        ])
+    return "\n".join("  ".join(row).rstrip() for row in zip(*columns))
 
 
 def _params_from_args(args: argparse.Namespace) -> Params:
@@ -222,11 +187,7 @@ def cmd_info(args: argparse.Namespace) -> int:
             print(f"oracle disagreement: {mismatches[0]}", file=sys.stderr)
             return 1
         mode = MODE_VERIFIED
-    rep = build_report(p, limit=args.limit, mode=mode)
-    if args.format == "json":
-        print(rep.to_json())
-    else:
-        print(_render_report_text(rep))
+    _print_report(build_report(p, limit=args.limit, mode=mode), args.format)
     return 0
 
 
@@ -279,11 +240,12 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 def cmd_gaps(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    rep = build_report(p, with_gaps=True, max_frobenius=args.max_frobenius)
+    genus(p)  # the widest value a profile checks: --bit-limit exits 3 as for info
+    gap_list = tuple(gaps(p, args.max_frobenius))
     if args.format == "json":
-        print(rep.to_json())
+        _print_report(build_report(p, gaps=gap_list), args.format)
     else:
-        print(" ".join(map(str, rep.gaps)))
+        print(" ".join(map(str, gap_list)))
     return 0
 
 
@@ -301,11 +263,7 @@ def _preset_params(name: str, n: int) -> Params:
 
 def cmd_preset(args: argparse.Namespace) -> int:
     p = _preset_params(args.name, args.n)
-    rep = build_report(p, limit=args.limit)
-    if args.format == "json":
-        print(rep.to_json())
-    else:
-        print(_render_report_text(rep))
+    _print_report(build_report(p, limit=args.limit), args.format)
     return 0
 
 
@@ -496,9 +454,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowLimitError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParamsError, GapsCapError, BoundTooSmallError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

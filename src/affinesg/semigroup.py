@@ -167,12 +167,10 @@ def gaps(p: Params, max_frobenius: int = DEFAULT_GAPS_CAP) -> list[int]:
     return [n for n in range(1, f + 1) if n < least[n % p.c]]
 
 
-def members_below(p: Params, limit: int) -> list[int]:
-    """All members in [0, limit)."""
-    if limit < 1:
-        return []
-    least = least_by_residue(apery_set(p))
-    return [n for n in range(limit) if n >= least[n % p.c]]
+def members_below(prof: SemigroupProfile, limit: int) -> list[int]:
+    """All members in [0, limit), read from the profile's Apery set."""
+    least = least_by_residue(prof.apery)
+    return [n for n in range(limit) if n >= least[n % prof.params.c]]
 
 
 def least_by_residue(apery: Sequence[int]) -> list[int]:

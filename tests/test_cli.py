@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from affinesg import Params, apery_set, profile
+import affinesg.semigroup
+from affinesg import Params, __version__, apery_set, gaps, members_below, profile
 from affinesg.cli import (
     MODE_VERIFIED,
-    Report,
     build_report,
     main,
     render_table,
@@ -163,11 +164,15 @@ BIT_LIMIT_TRIPLES = [
 def test_info_bit_limit_trips_exactly_at_twice_the_apery_sum(capsys, a, b, c):
     # the widest checked value of a profile is 2 * sum(apery), the genus numerator
     edge = (2 * sum(apery_set(Params(a, b, c)))).bit_length()
-    argv = ["info", "--a", str(a), "--b", str(b), "--c", str(c)]
+    params = ["--a", str(a), "--b", str(b), "--c", str(c)]
     for bits in range(max(2, edge - 3), edge + 4):
-        code, out, err = run(capsys, *argv, "--bit-limit", str(bits))
+        code, out, err = run(capsys, "info", *params, "--bit-limit", str(bits))
         assert code == (3 if edge >= bits else 0), bits
         assert (out == "") == (code == 3)
+        # gaps prints no genus, yet overflows where info does, before its cap
+        assert run(capsys, "gaps", *params, "--bit-limit", str(bits))[0] == code
+        capped = run(capsys, "gaps", *params, "--bit-limit", str(bits), "--max-frobenius", "0")
+        assert capped[0] == (3 if code == 3 else 2)
 
 
 def test_member_bit_limit_covers_only_the_queried_classes(capsys):
@@ -270,6 +275,44 @@ def test_render_table_color_toggle():
     assert "3*" in plain and "10*" in plain
 
 
+LAYOUT_SEEDS = [
+    (a, b, c)
+    for a in (1, 2, 3, 10)
+    for b, c in ((1, 2), (3, 5), (2, 17), (7, 100), (1, 1000))
+]
+
+
+@pytest.mark.parametrize("a, b, c", LAYOUT_SEEDS)
+def test_table_layout_aligns_columns_and_marks_generators(a, b, c):
+    p = Params(a, b, c)
+    prof = profile(p)
+    limits = [1, c, 3 * c + 1]
+    if prof.conductor + c <= 10**6:
+        limits.append(prof.conductor + c)
+    for limit in limits:
+        plain = render_table(prof, limit, color=False)
+        rows = plain.split("\n")
+        assert len(rows) == c
+        ends: dict[int, set[int]] = {}
+        numbers, starred = [], []
+        for row in rows:
+            for m in re.finditer(r"(\d+)(\*?)", row):
+                v = int(m.group(1))
+                ends.setdefault(v // c, set()).add(m.end())
+                numbers.append(v)
+                if m.group(2):
+                    starred.append(v)
+        assert all(len(offsets) == 1 for offsets in ends.values())
+        offsets = [ends[q].pop() for q in sorted(ends)]
+        assert offsets == sorted(set(offsets))
+        assert sorted(numbers) == members_below(prof, limit)
+        assert sorted(starred) == [g for g in prof.minimal_generators if g < limit]
+        colored = render_table(prof, limit, color=True)
+        assert colored.replace("\x1b[1m", "").replace("\x1b[0m", "") == plain
+        bold = re.findall(r"\x1b\[1m *(\d+)\*\x1b\[0m", colored)
+        assert colored.count("\x1b[1m") == len(bold) == len(starred)
+
+
 def test_color_env_var_disables_highlighting(monkeypatch):
     import affinesg.cli as cli
 
@@ -356,6 +399,44 @@ def test_gaps_cap_exits_two(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_gaps_cap_refuses_before_the_apery_set(capsys, monkeypatch):
+    # F is found in O(log c); an O(c) Apery set of 3 million classes is never built
+    def refuse(p):
+        raise AssertionError("apery_set called")
+
+    monkeypatch.setattr(affinesg.semigroup, "apery_set", refuse)
+    code, out, err = run(
+        capsys, "gaps", "--a", "2", "--b", "1", "--c", "3000001",
+        "--max-frobenius", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the gap enumeration cap 10" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "--a", "3", "--b", "1", "--c", "5", "--limit", "60"),
+        ("info", "--a", "3", "--b", "1", "--c", "5", "--limit", "60", "--format", "json"),
+        ("table", "--a", "3", "--b", "1", "--c", "5"),
+        ("gaps", "--a", "3", "--b", "1", "--c", "5"),
+    ],
+)
+def test_each_request_builds_one_apery_set(capsys, monkeypatch, argv):
+    calls = []
+    original = affinesg.semigroup.apery_set
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(affinesg.semigroup, "apery_set", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 # --- preset ---
@@ -509,17 +590,21 @@ def test_info_csv_invalid_row_is_reported_and_skipped(tmp_path, capsys):
 
 def test_report_round_trips_through_json():
     p = Params(3, 1, 5)
+    gap_list = tuple(gaps(p))
     for rep in (
         build_report(p),
-        build_report(p, with_gaps=True),
+        build_report(p, gaps=gap_list),
         build_report(p, limit=50),
-        build_report(p, with_gaps=True, limit=50, mode=MODE_VERIFIED),
+        build_report(p, gaps=gap_list, limit=50, mode=MODE_VERIFIED),
     ):
-        assert Report.from_json(rep.to_json()) == rep
+        doc = json.loads(rep.to_json())
+        assert doc == rep.to_dict()
+        assert doc["meta"] == {"version": __version__, "mode": rep.mode}
 
 
 def test_report_wire_names_are_stable():
-    doc = build_report(Params(2, 3, 4), with_gaps=True).to_dict()
+    p = Params(2, 3, 4)
+    doc = build_report(p, gaps=tuple(gaps(p))).to_dict()
     assert set(doc) == {
         "a", "b", "c", "k_tilde", "embedding_dimension", "minimal_generators",
         "apery_set", "frobenius", "genus", "conductor", "gaps", "meta",

@@ -188,7 +188,8 @@ def test_gaps_cap_refusal():
 
 def test_members_below_matches_worked_tables():
     for (a, b, c), table in WORKED_TABLES.items():
-        assert members_below(Params(a, b, c), table["limit"]) == table["members"]
+        prof = profile(Params(a, b, c))
+        assert members_below(prof, table["limit"]) == table["members"]
 
 
 def test_profile_reproduces_worked_examples():
@@ -268,7 +269,7 @@ def test_everything_from_the_cutoff_term_onward_is_a_member():
 def test_members_below_prefix_of_contains():
     for p in (EX1, EX2, EX3):
         limit = frobenius(p) + p.c
-        assert members_below(p, limit) == [
+        assert members_below(profile(p), limit) == [
             n for n in range(limit) if contains(p, n)
         ]
 
