@@ -20,12 +20,13 @@ from typing import Sequence
 
 from . import __version__
 from .core import InvalidParamsError, OverflowLimitError, Params, bit_limit
-from .oracle import check_agreement
+from .oracle import MAX_ORACLE_BOUND, check_agreement, default_bound
 from .semigroup import (
     DEFAULT_GAPS_CAP,
     SemigroupProfile,
     apery_element,
     class_index,
+    frobenius,
     gaps,
     genus,
     least_by_residue,
@@ -214,9 +215,16 @@ def _info_batch(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    prof = profile(p)
-    limit = args.limit if args.limit is not None else prof.conductor + p.c
-    print(render_table(prof, limit, _use_color()))
+    limit = args.limit
+    if limit is None:
+        genus(p)  # the widest value a profile checks: --bit-limit exits 3 as for info
+        limit = frobenius(p) + 1 + p.c
+        if limit > DEFAULT_GAPS_CAP:
+            raise ValueError(
+                f"default limit conductor + c = {limit} exceeds the cap "
+                f"{DEFAULT_GAPS_CAP}; pass a smaller --limit"
+            )
+    print(render_table(profile(p), limit, _use_color()))
     return 0
 
 
@@ -271,6 +279,10 @@ def _limit(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative (got {value})")
+    if value > DEFAULT_GAPS_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {DEFAULT_GAPS_CAP} (got {value})"
+        )
     return value
 
 
@@ -318,18 +330,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
     checked = passed = failed = skipped = 0
     first_failure = None
+    valid = []
     for a, b, c in sorted(set(triples)):
         try:
-            p = Params(a, b, c)
+            valid.append(Params(a, b, c))
         except InvalidParamsError:
             skipped += 1
-            continue
+    for p in valid:  # refuse the whole request before checking any triple
+        bound = default_bound(p)
+        if bound > MAX_ORACLE_BOUND:
+            raise ValueError(
+                f"oracle bound {bound} exceeds the memory cap {MAX_ORACLE_BOUND}"
+            )
+    for p in valid:
         mismatches = check_agreement(p)
         checked += 1
         if mismatches:
             failed += 1
             if first_failure is None:
-                first_failure = {"a": a, "b": b, "c": c, "mismatch": mismatches[0]}
+                first_failure = {"a": p.a, "b": p.b, "c": p.c, "mismatch": mismatches[0]}
         else:
             passed += 1
     summary = {

@@ -1,12 +1,21 @@
 """Exact integer arithmetic for semigroups closed under x -> a*x + b.
 
 Two sequences drive everything here: the geometric sums
-``s(a, k) = 1 + a + ... + a^(k-1)`` (zero for k = 0) and the orbit terms
-``a^k * c + b * s(a, k)``, the successive images of the seed c under the
+``s_k = 1 + a + ... + a^(k-1)`` (zero for k = 0) and the orbit terms
+``t_k = a^k * c + b * s_k``, the successive images of the seed c under the
 affine map.  Positive integers decompose uniquely over the geometric sums
 once coefficient vectors are put in a canonical reduced form, and the same
 form makes weighted sums of orbit terms comparable coefficient by
 coefficient (see `compare`).
+
+The orbit terms are affine in the geometric sums: t_k = c + d*s_k with
+d = (a-1)*c + b (`orbit_slope`).  By induction: t_0 = c, and
+a*(c + d*s) + b = c + d*(a*s + 1) because a*c + b - c = d.  The least member
+of class l weights the t_k by the greedy digits q_k of l, so it is
+x_l = d*l + c*sigma(l) with sigma(l) = sum(q_k).  Hence the Frobenius number
+is x_(c-1) - c and, by Selmer's formula, the genus is
+(d-1)(c-1)/2 + sum(sigma(l) for l < c); (d-1)(c-1) is even because b is
+odd when c is even.
 
 All arithmetic is exact.  An optional width guard (`bit_limit`) turns any
 value that would not fit the configured signed integer width into an
@@ -35,6 +44,7 @@ __all__ = [
     "compare",
     "decompose",
     "geometric_sum",
+    "orbit_slope",
     "orbit_term",
     "reduce_coefficients",
 ]
@@ -128,15 +138,20 @@ def geometric_sum(a: int, k: int) -> int:
     return checked((a**k - 1) // (a - 1))
 
 
+def orbit_slope(p: Params) -> int:
+    """d = (a - 1)*c + b, the slope of the orbit terms over the geometric sums."""
+    return (p.a - 1) * p.c + p.b
+
+
 def orbit_term(p: Params, k: int) -> int:
-    """The k-th image of the seed under the affine map: a^k*c + b*s(a, k).
+    """The k-th image of the seed under the affine map: a^k*c + b*s_k = c + d*s_k.
 
     Satisfies orbit_term(p, 0) == p.c and
     orbit_term(p, k + 1) == affine_image(p, orbit_term(p, k)).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return checked(p.a**k * p.c + p.b * geometric_sum(p.a, k))
+    return checked(p.c + orbit_slope(p) * geometric_sum(p.a, k))
 
 
 def affine_image(p: Params, x: int) -> int:
@@ -201,10 +216,7 @@ class ReducedVector:
     @property
     def top_index(self) -> int:
         """Highest positive index with a nonzero coefficient, 0 if none."""
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            if self.coeffs[i]:
-                return i
-        return 0
+        return len(self.coeffs) - 1  # trailing zeros are trimmed on construction
 
     def s_value(self) -> int:
         """Weighted sum over geometric sums; index 0 contributes nothing."""
@@ -215,14 +227,10 @@ class ReducedVector:
         return checked(total)
 
     def t_value(self, p: Params) -> int:
-        """Weighted sum over the orbit terms of ``p``, index 0 included."""
+        """Weighted sum over the orbit terms c + d*s_i of ``p``, index 0 included."""
         if p.a != self.ambient:
             raise ValueError("params multiplier differs from the vector's ambient")
-        total = 0
-        for i, j in enumerate(self.coeffs):
-            if j:
-                total += j * orbit_term(p, i)
-        return checked(total)
+        return checked(p.c * sum(self.coeffs) + orbit_slope(p) * self.s_value())
 
 
 def _dense(mapping: Mapping[int, int]) -> tuple[int, ...]:
@@ -344,8 +352,7 @@ def compare(left: ReducedVector, right: ReducedVector) -> int:
     if kl != kr:
         return -1 if kl < kr else 1
     for i in range(kl, 0, -1):
-        jl = left.coeffs[i] if i < len(left.coeffs) else 0
-        jr = right.coeffs[i] if i < len(right.coeffs) else 0
+        jl, jr = left.coeffs[i], right.coeffs[i]
         if jl != jr:
             return -1 if jl < jr else 1
     return 0

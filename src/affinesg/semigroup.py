@@ -1,16 +1,12 @@
 """Closed-form invariants of the smallest affine-closed semigroup with a given seed.
 
-All of them come from one digit recurrence.  The least member of class l
-(the class of b*l mod c) weights the orbit terms t_k by the greedy digits
-of l over the geometric sums s_k (`core.decompose`; skew binary for a = 2).
-Grouped by top digit, with 1 <= q < a and r < s_k:
-
-    ap[q*s_k + r] = q*t_k + ap[r],    ap[a*s_k] = a*t_k.
-
-`apery_set` builds the c classes by these block copies, so the values rise
-with l.  The Frobenius number (top class minus c) and the genus (Selmer's
-sum(ap)/c - (c-1)/2, summed over the digits of c with the block prefix sums
-G(k+1) = a*G(k) + a(a-1)/2 * s_k*t_k + a*t_k) take O(log c) arithmetic.
+All of them come from one identity, proved in `affinesg.core`: the least
+member of class l (the class of b*l mod c) is x_l = d*l + c*sigma(l), with
+d = (a-1)*c + b and sigma(l) the digit sum of l over the geometric sums s_k
+(`core.decompose`; skew binary for a = 2).  As sigma(q*s_k + r) = q +
+sigma(r) for 1 <= q < a, r < s_k, and sigma(a*s_k) = a, `apery_set` builds
+the c classes by block copies.  The Frobenius number x_(c-1) - c and the
+genus (d-1)(c-1)/2 + sum(sigma(l) for l < c) take O(log c) arithmetic.
 `affinesg.oracle` cross-checks them all by brute force.
 """
 
@@ -19,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Params, checked, decompose, geometric_sum, orbit_term
+from .core import Params, checked, decompose, orbit_slope, orbit_term
 
 __all__ = [
     "GapsCapError",
@@ -76,10 +72,7 @@ def k_tilde(p: Params) -> int:
 
     Always at least 2, because the sums start 0, 1 and c is at least 2.
     """
-    k = 0
-    while geometric_sum(p.a, k) <= p.c - 1:
-        k += 1
-    return k
+    return decompose(p.a, p.c - 1).top_index + 1
 
 
 def minimal_generators(p: Params) -> list[int]:
@@ -93,7 +86,7 @@ def apery_element(p: Params, l: int) -> int:
         raise ValueError(f"class index must lie in [0, {p.c - 1}] (got {l})")
     if l == 0:
         return 0
-    return decompose(p.a, l).t_value(p)
+    return checked(orbit_slope(p) * l + p.c * sum(decompose(p.a, l).coeffs))
 
 
 def apery_set(p: Params) -> list[int]:
@@ -102,14 +95,13 @@ def apery_set(p: Params) -> list[int]:
     Same values as `apery_element` per class, built by block copies.  The
     values increase with the class, so one width check on the last covers all.
     """
+    d = orbit_slope(p)
     ap = [0]
-    k = 1
     while len(ap) < p.c:
-        s, t = len(ap), orbit_term(p, k)  # len(ap) == s_k here
+        s, t = len(ap), p.c + d * len(ap)  # s_k and t_k = c + d*s_k
         for q in range(1, p.a):
             ap.extend([q * t + x for x in ap[: min(s, p.c - len(ap))]])
         ap.append(p.a * t)
-        k += 1
     del ap[p.c:]
     checked(ap[-1])
     return ap
@@ -123,20 +115,20 @@ def frobenius(p: Params) -> int:
 def genus(p: Params) -> int:
     """Number of positive integers outside the semigroup.
 
-    Selmer's sum(ap)/c - (c-1)/2, exact over the integers.  The sum over
-    classes [0, c) runs over the digits q_k of c, lowest first: digit k adds
-    q_k whole blocks of s_k classes and lifts each of the ``below`` classes
-    of the lower digits, summed so far in ``total``, by q_k*t_k.
+    Selmer's sum(ap)/c - (c-1)/2 is (d-1)(c-1)/2 plus the digit sums of the
+    classes [0, c), summed over the digits q_k of c, lowest first: digit k
+    adds q_k whole blocks of s_k classes, whose digit sums total
+    D(k) = sum(sigma(l) for l < s_k), and lifts each of the ``below``
+    classes of the lower digits by q_k.
     """
-    a = p.a
-    total = below = g = 0  # g is the block prefix sum G(k), from G(1) = 0
-    for k, q in enumerate(decompose(a, p.c).coeffs[1:], start=1):
-        s, t = geometric_sum(a, k), orbit_term(p, k)
-        total += q * g + q * (q - 1) // 2 * s * t + q * t * below
+    a, c, d = p.a, p.c, orbit_slope(p)
+    sigma, below, dk, s = 0, 0, 0, 1  # dk = D(k) and s = s_k, from k = 1
+    for q in decompose(a, c).coeffs[1:]:
+        sigma += q * dk + q * (q - 1) // 2 * s + q * below
         below += q * s
-        g = a * g + a * (a - 1) // 2 * s * t + a * t
-    checked(total)
-    return (checked(2 * total) - p.c * (p.c - 1)) // (2 * p.c)
+        dk, s = a * dk + a * (a - 1) // 2 * s + a, a * s + 1
+    checked(d * c * (c - 1) + 2 * c * sigma)  # 2*sum(ap), the widest value checked
+    return (d - 1) * (c - 1) // 2 + sigma
 
 
 def class_index(p: Params, n: int) -> int:

@@ -8,9 +8,18 @@ import re
 import pytest
 
 import affinesg.semigroup
-from affinesg import Params, __version__, apery_set, gaps, members_below, profile
+from affinesg import (
+    DEFAULT_GAPS_CAP,
+    Params,
+    __version__,
+    apery_set,
+    gaps,
+    members_below,
+    profile,
+)
 from affinesg.cli import (
     MODE_VERIFIED,
+    build_parser,
     build_report,
     main,
     render_table,
@@ -208,6 +217,46 @@ def test_table_zero_limit_is_refused(capsys):
     assert code == 2
     assert out == ""
     assert "error: argument --limit: must be positive (got 0)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "--a", "2", "--b", "1", "--c", "5", "--limit", "100000000000"),
+        ("preset", "thabit", "--n", "2", "--limit", "100000000000"),
+        ("table", "--a", "2", "--b", "1", "--c", "5", "--limit", "100000000000"),
+        # no --limit: the default conductor + c is about 10^10 here
+        ("table", "--a", "2", "--b", "1", "--c", "100003"),
+    ],
+)
+def test_limit_above_the_cap_is_refused_before_the_apery_set(capsys, monkeypatch, argv):
+    def refuse(p):
+        raise AssertionError("apery_set called")
+
+    monkeypatch.setattr(affinesg.semigroup, "apery_set", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert str(DEFAULT_GAPS_CAP) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["info", "table"])
+def test_default_table_limit_refusal_keeps_the_overflow_exit(capsys, command):
+    # F needs 34 bits and 2*sum(ap) 50: under 40 bits table exits 3 as info does
+    code, out, err = run(
+        capsys, command, "--a", "2", "--b", "1", "--c", "100003", "--bit-limit", "40"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("overflow:")
+
+
+def test_limit_at_the_cap_is_accepted():
+    args = build_parser().parse_args(
+        ["info", "--a", "2", "--b", "1", "--c", "5", "--limit", str(DEFAULT_GAPS_CAP)]
+    )
+    assert args.limit == DEFAULT_GAPS_CAP
 
 
 def test_non_integer_flag_exits_two(capsys):
@@ -513,6 +562,20 @@ def test_verify_reports_first_counterexample(capsys, monkeypatch):
     assert code == 1
     assert "failed: 2" in out
     assert "first_failure: a=3 b=1 c=3 frobenius: planted" in out
+
+
+def test_verify_refuses_an_over_cap_range_before_checking_any_triple(capsys, monkeypatch):
+    # c = 1113 is the first seed at a = 10 whose oracle window passes 10^8
+    import affinesg.cli as cli
+
+    def refuse(p, bound_hint=None):
+        raise AssertionError("check_agreement called")
+
+    monkeypatch.setattr(cli, "check_agreement", refuse)
+    code, out, err = run(capsys, "verify", "--a", "10", "--b", "1", "--c", "1100..1113")
+    assert code == 2
+    assert out == ""
+    assert "oracle bound 111313337 exceeds the memory cap" in err
 
 
 def test_verify_bad_range_syntax_exits_two(capsys):

@@ -16,6 +16,7 @@ from affinesg import (
     apery_set,
     bit_limit,
     contains,
+    decompose,
     frobenius,
     gaps,
     genus,
@@ -327,26 +328,57 @@ def test_generator_count_is_k_tilde():
         assert len(minimal_generators(p)) == k_tilde(p), p
 
 
-def mersenne_frobenius(n):
-    return 2 ** (2 * n) - 2**n - 1
+def test_apery_element_matches_the_orbit_term_sum_at_huge_seeds():
+    # the definition: the greedy digits q_k of l weight the orbit terms
+    # a^k*c + b*(1 + a + ... + a^(k-1)), written out here without core's helpers;
+    # a = 1 has l digits over s_k = k, so it runs at an 8-bit seed
+    rng = random.Random(6)
+    for a, bits in [(1, 8), *((a, bits) for bits in (64, 200) for a in (2, 3, 10))]:
+        c = rng.getrandbits(bits) | 1 << (bits - 1)
+        b = rng.choice([b for b in (1, 2, 3, 5, 7) if math.gcd(b, c) == 1])
+        p = Params(a, b, c)
+        for l in [rng.randrange(1, c) for _ in range(200)] + [c - 1]:
+            digits = decompose(a, l).coeffs
+            expected = sum(
+                q * (a**k * c + b * sum(a**i for i in range(k)))
+                for k, q in enumerate(digits) if q
+            )
+            assert apery_element(p, l) == expected, (p, l)
 
 
-def mersenne_genus(n):
-    return 2 ** (n - 1) * (2**n + n - 3)
+# Under x -> 2x + 1, c = 2^n - 1 generates {2^(n+i) - 1}, the Mersenne
+# numerical semigroups of Rosales, Branco and Torrao (2017), and
+# c = 3*2^n - 1 generates {3*2^(n+i) - 1}, the Thabit numerical semigroups
+FAMILIES = {
+    "mersenne": (
+        range(2, 14),
+        lambda n: 2**n - 1,
+        lambda n: 2 ** (2 * n) - 2**n - 1,
+        lambda n: 2 ** (n - 1) * (2**n + n - 3),
+    ),
+    "thabit": (
+        range(1, 14),
+        lambda n: 3 * 2**n - 1,
+        lambda n: 9 * 4**n - 3 * 2**n - 1,
+        lambda n: 2 ** (n - 1) * (9 * 2**n + 3 * n - 5),
+    ),
+}
 
 
-def test_mersenne_seeds_match_selmer_and_the_family_closed_forms():
-    # c = 2^n - 1 with x -> 2x + 1 generates {2^(n+i) - 1}: the Mersenne
-    # numerical semigroups of Rosales, Branco and Torrao (2017)
-    for n in range(2, 14):
-        p = Params(2, 1, 2**n - 1)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_seeds_match_selmer_and_the_family_closed_forms(family):
+    indices, seed, frob, gen = FAMILIES[family]
+    for n in indices:
+        p = Params(2, 1, seed(n))
         ap = apery_set(p)
         assert genus(p) == (2 * sum(ap) - p.c * (p.c - 1)) // (2 * p.c), n
-        assert genus(p) == mersenne_genus(n), n
-        assert frobenius(p) == max(ap) - p.c == mersenne_frobenius(n), n
+        assert genus(p) == gen(n), n
+        assert frobenius(p) == max(ap) - p.c == frob(n), n
 
 
-def test_huge_seed_scalars_need_no_apery_set():
-    p = Params(2, 1, 2**200 - 1)
-    assert frobenius(p) == mersenne_frobenius(200)
-    assert genus(p) == mersenne_genus(200)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_huge_family_seed_scalars_need_no_apery_set(family):
+    _, seed, frob, gen = FAMILIES[family]
+    p = Params(2, 1, seed(200))
+    assert frobenius(p) == frob(200)
+    assert genus(p) == gen(200)
